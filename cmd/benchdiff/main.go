@@ -22,6 +22,10 @@
 // is a regression too); new cells are reported and pass — commit the
 // regenerated baseline alongside the change that adds them.
 //
+// Cells marked `"better": "exact"` are deterministic counters (network
+// retries, degraded-mode serves) stored as ops per virtual second. More
+// of them is not better, so any change in either direction fails.
+//
 // Because benchmark virtual time is deterministic (see the vclock
 // scheduler), a clean run reproduces the baseline bit-for-bit and the
 // tolerance guards only intentional cost-model or code changes: any
@@ -222,15 +226,25 @@ func Compare(baseline, fresh []harness.Record, tol float64) Report {
 		}
 		oldT, okOld := throughput(b)
 		newT, okNew := throughput(n)
+		exact := b.Better == harness.BetterExact || n.Better == harness.BetterExact
+		if exact {
+			// A counter may legitimately be zero, so compare the raw
+			// value rather than skipping an "unmeasurable" cell.
+			oldT, okOld, newT, okNew = b.OpsPerSec, true, n.OpsPerSec, true
+		}
 		if !okOld {
 			continue // nothing measurable in the baseline cell
 		}
 		rep.Compared++
 		d := Delta{Key: k, Old: oldT, New: newT}
-		if okNew {
+		if okNew && oldT != 0 {
 			d.Ratio = newT / oldT
 		}
 		switch {
+		case exact:
+			if newT != oldT {
+				rep.Regressions = append(rep.Regressions, d)
+			}
 		case !okNew || d.Ratio < 1-tol:
 			rep.Regressions = append(rep.Regressions, d)
 		case d.Ratio > 1+tol:

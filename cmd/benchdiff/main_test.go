@@ -93,6 +93,33 @@ func TestCompareZeroedFreshThroughputRegresses(t *testing.T) {
 	}
 }
 
+func TestCompareExactCellFailsOnAnyChange(t *testing.T) {
+	// A retries counter stored as ops per virtual second: doubling it
+	// would read as a 2x throughput improvement without the exact mark.
+	retries := func(n int64) harness.Record {
+		r := rec("netfaults", "Bento", "lossy-lan-read4k-retries", n, float64(n), 0, 0)
+		r.Better = harness.BetterExact
+		return r
+	}
+	base := []harness.Record{retries(30)}
+	if rep := Compare(base, base, 0.05); rep.Failed() || rep.Compared != 1 {
+		t.Fatalf("unchanged exact cell: %s", rep.Text())
+	}
+	for _, n := range []int64{60, 29, 0} {
+		rep := Compare(base, []harness.Record{retries(n)}, 0.05)
+		if !rep.Failed() || len(rep.Regressions) != 1 || len(rep.Improvements) != 0 {
+			t.Fatalf("retries 30 -> %d passed the gate: %s", n, rep.Text())
+		}
+	}
+	zero := []harness.Record{retries(0)}
+	if rep := Compare(zero, zero, 0.05); rep.Failed() || rep.Compared != 1 {
+		t.Fatalf("exact cell at zero not compared: %s", rep.Text())
+	}
+	if rep := Compare(zero, []harness.Record{retries(5)}, 0.05); !rep.Failed() {
+		t.Fatalf("retries 0 -> 5 passed the gate: %s", rep.Text())
+	}
+}
+
 func TestCompareSubToleranceDriftIsReported(t *testing.T) {
 	base := []harness.Record{rec("fig2", "Bento", "read-seq-32t-4k", 1000, 50000, 0, 0)}
 	fresh := []harness.Record{rec("fig2", "Bento", "read-seq-32t-4k", 990, 49000, 0, 0)} // -2%

@@ -17,8 +17,6 @@
 //	bentobench -neterr 0.02 -nettail 4 # deterministic per-attempt fault rate / latency-tail multiplier
 //	bentobench -netoutage 10ms:30ms    # full object-store blackout over a virtual-time window
 //	bentobench -nethedge 3             # hedged-GET delay multiplier override
-//	bentobench -shards 8        # add the sharded-buffer-cache Bento row
-//	bentobench -noiod           # disable background I/O (read-ahead + flusher)
 //	bentobench -databypass=false # re-enable data double-caching (seed behaviour)
 //	bentobench -cpuprofile cpu.pb.gz   # pprof CPU profile of the cell matrix
 //	bentobench -memprofile mem.pb.gz   # pprof allocation profile at exit
@@ -101,8 +99,6 @@ func main() {
 	netoutage := flag.String("netoutage", "", "netstore blackout window as start:end virtual durations, e.g. 10ms:30ms (requires -backend netstore)")
 	nethedge := flag.Int("nethedge", 0, "netstore hedged-GET delay multiplier override (requires -backend netstore)")
 	netseed := flag.Int64("netseed", 0, "netstore fault-decision seed (0 = default stream)")
-	shards := flag.Int("shards", 0, "buffer-cache shards for the Bento-shard study row (>1 to enable)")
-	noiod := flag.Bool("noiod", false, "disable the background I/O subsystem on the in-kernel variants")
 	databypass := flag.Bool("databypass", true, "single-copy data caching: file contents bypass the buffer cache on the in-kernel variants (false restores the seed's double-caching)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile (runtime \"allocs\") to this file at exit")
@@ -137,8 +133,6 @@ func main() {
 	o.NetOutageEnd = outEnd
 	o.NetHedgeMult = *nethedge
 	o.NetFaultSeed = *netseed
-	o.CacheShards = *shards
-	o.NoIODaemon = *noiod
 	o.NoDataBypass = !*databypass
 	o.Metrics = *metrics
 	if *traceDir != "" {

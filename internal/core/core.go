@@ -112,7 +112,6 @@ type Upgradable interface {
 // register_filesystem interface.
 type fsType struct {
 	name    string
-	shards  int // metadata buffer-cache shards (<=1: exact global LRU)
 	factory func() FileSystem
 }
 
@@ -124,11 +123,7 @@ func (ft fsType) Name() string { return ft.name }
 // interposes the BentoFS shim between it and the VFS.
 func (ft fsType) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
 	fs := ft.factory()
-	shards := ft.shards
-	if shards < 1 {
-		shards = 1
-	}
-	bc := kernel.NewBufferCacheSharded(dev, t.Model(), 0, shards)
+	bc := kernel.NewBufferCache(dev, t.Model(), 0)
 	sb := bentoks.NewSuperBlock(bc, bentoks.NewChecker())
 	if err := fs.Init(t, sb); err != nil {
 		return nil, fmt.Errorf("bentofs: init %q: %w", ft.name, err)
@@ -140,15 +135,7 @@ func (ft fsType) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem,
 // name. Like inserting a .ko built from safe Rust: afterwards the type is
 // mountable with kernel.Mount.
 func Register(k *kernel.Kernel, name string, factory func() FileSystem) error {
-	return RegisterSharded(k, name, 1, factory)
-}
-
-// RegisterSharded is Register with the metadata buffer cache split over
-// cacheShards shards (the host-parallelism study; see
-// kernel.NewBufferCacheSharded). One shard keeps victim selection exact
-// global LRU and virtual-time metrics byte-reproducible.
-func RegisterSharded(k *kernel.Kernel, name string, cacheShards int, factory func() FileSystem) error {
-	return k.Register(fsType{name: name, shards: cacheShards, factory: factory})
+	return k.Register(fsType{name: name, factory: factory})
 }
 
 // BentoFS is the interposition layer instance for one mount. It

@@ -49,9 +49,6 @@ type Config struct {
 	// NoBarriers drops the FLUSH in commits (like mounting with
 	// barrier=0); benchmarks comparing pure software paths may set it.
 	NoBarriers bool
-	// CacheShards splits the buffer cache over this many shards (<=1: a
-	// single exact-LRU shard; see kernel.NewBufferCacheSharded).
-	CacheShards int
 	// DataBypass routes regular-file contents around the buffer cache
 	// and the journal: data blocks move directly between the device and
 	// the pages above, demoting the mount from data=journal to
@@ -175,7 +172,7 @@ func geometry(size, ninodes uint32) (superblock, error) {
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
 	fs := &FS{
 		cfg:    tt.Cfg,
-		bc:     kernel.NewBufferCacheSharded(dev, t.Model(), 8192, max(1, tt.Cfg.CacheShards)),
+		bc:     kernel.NewBufferCache(dev, t.Model(), 8192),
 		dev:    dev,
 		inodes: make(map[uint32]*inode),
 		dirIdx: make(map[uint32]map[string]uint32),

@@ -66,14 +66,14 @@ func (r Result) String() string {
 		r.Name, r.Ops, r.Elapsed, r.OpsPerSec(), r.MBps())
 }
 
-// runWorkers runs fn in n workers with fresh group-joined clocks until
-// each worker's virtual clock passes duration (or fn signals done). The
-// workers start at startAt — the virtual time the setup phase finished —
-// so shared resources (CPU pool, device queues, journal state) warmed by
-// setup do not leak into the measurement. The run's elapsed time is the
+// runWorkers runs fn in n workers with fresh clocks until each worker's
+// virtual clock passes duration (or fn signals done). The workers start
+// at startAt — the virtual time the setup phase finished — so shared
+// resources (CPU pool, device queues, journal state) warmed by setup do
+// not leak into the measurement. The run's elapsed time is the
 // furthest-ahead worker minus startAt.
 //
-// Execution is deterministic: the group's scheduler admits one worker at
+// Execution is deterministic: a vclock.Scheduler admits one worker at
 // a time, always the one with the minimal (virtual time, worker index)
 // pending event, with pace() as the scheduling point between operations.
 // Worker goroutines are merely the execution vehicle — the interleaving
@@ -83,13 +83,15 @@ func (r Result) String() string {
 func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
 	fn func(w int, task *kernel.Task, deadline int64, pace func()) (ops, bytes, errs int64, err error)) Result {
 
-	group := vclock.NewGroup(startAt)
+	sched := vclock.NewScheduler()
 	// Register every worker clock before any runs: registration order is
 	// the scheduler's tie-break key, so the roster must be complete (and
 	// in worker-index order) before admission starts.
 	clks := make([]*vclock.Clock, n)
+	workers := make([]*vclock.Worker, n)
 	for w := 0; w < n; w++ {
-		clks[w] = group.NewWorker()
+		clks[w] = vclock.NewClockAt(startAt)
+		workers[w] = sched.Register(clks[w])
 	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -98,8 +100,7 @@ func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			clk := clks[w]
-			sw := group.Worker(clk) // resolve once; pace runs per operation
+			clk, sw := clks[w], workers[w]
 			// Even a worker's first operation (opening its file) runs
 			// under the scheduler, so setup-order effects on shared
 			// state are fixed too. A false admission means the worker
@@ -143,7 +144,11 @@ func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
 		}(w)
 	}
 	wg.Wait()
-	res.Elapsed = group.Elapsed()
+	end := int64(startAt)
+	for _, clk := range clks {
+		end = max(end, clk.NowNS())
+	}
+	res.Elapsed = time.Duration(end - int64(startAt))
 	return res
 }
 

@@ -29,7 +29,7 @@ type UpgradeConfig struct {
 	SwapAt time.Duration
 
 	// Swap performs the upgrade on the operator's task. It runs under
-	// the group scheduler like any other worker operation, so everything
+	// the scheduler like any other worker operation, so everything
 	// it does — quiesce, state transfer, resume — is charged to virtual
 	// time deterministically.
 	Swap func(task *kernel.Task) error
@@ -72,7 +72,7 @@ type UpgradeReport struct {
 
 // UpgradeMix runs Readers+Writers workers doing random 4K I/O over
 // per-worker files while one extra operator worker performs cfg.Swap at
-// cfg.SwapAt. All workers (the operator included) run under the group
+// cfg.SwapAt. All workers (the operator included) run under the
 // scheduler, so the swap lands at a fixed point of the virtual timeline
 // and the whole scenario — including who stalls, and for how long — is
 // byte-reproducible across runs, hosts, and host-parallelism levels.

@@ -24,13 +24,13 @@ type UserDisk struct {
 	cache *lru.Cache[*ubuf]
 }
 
-// NewUserDisk opens the disk file O_DIRECT-style over dev. The cache is
-// single-sharded: victim selection is exactly global LRU.
+// NewUserDisk opens the disk file O_DIRECT-style over dev. Cache victim
+// selection is exactly global LRU.
 func NewUserDisk(dev *blockdev.Device, cacheBlocks int) *UserDisk {
 	if cacheBlocks <= 0 {
 		cacheBlocks = kernel.DefaultBufferCacheCap
 	}
-	return &UserDisk{dev: dev, cache: lru.New[*ubuf](cacheBlocks, 1)}
+	return &UserDisk{dev: dev, cache: lru.New[*ubuf](cacheBlocks)}
 }
 
 // ubuf is a userspace cached block. Like the kernel BufferHead it is

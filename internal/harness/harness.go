@@ -32,12 +32,6 @@ const (
 	VariantFUSE    = "FUSE"     // the same xv6 at user level behind FUSE
 	VariantExt4    = "Ext4"     // ext4, data=journal
 
-	// VariantBentoShard is Bento with its metadata buffer cache split
-	// over Options.CacheShards shards — the host-parallelism study row,
-	// present only when CacheShards > 1 so the published virtual-time
-	// cells stay exactly reproducible.
-	VariantBentoShard = "Bento-shard"
-
 	// VariantBentoNoBypass is Bento with the data bypass disabled: file
 	// contents are double-cached (page cache + buffer cache) and
 	// journaled, the seed's behaviour. It appears as a study row in the
@@ -89,16 +83,6 @@ type Options struct {
 	// wall-clock only — every virtual-time result, and therefore the
 	// -json output, is byte-identical at any setting.
 	Parallel int
-
-	// CacheShards > 1 adds the Bento-shard row (sharded buffer cache)
-	// to the micro experiments; the default keeps every published
-	// variant at 1 shard.
-	CacheShards int
-
-	// NoIODaemon disables the background I/O subsystem (read-ahead +
-	// flusher) on the in-kernel variants, reproducing the pre-iodaemon
-	// numbers. The FUSE variant never runs it either way.
-	NoIODaemon bool
 
 	// Metrics attaches a trace recorder to every cell and exports its
 	// counter snapshot as the record's `metrics` map. Off by default so
@@ -224,29 +208,16 @@ func (o Options) netFaults() netstore.FaultConfig {
 // traced reports whether cells carry a trace recorder.
 func (o Options) traced() bool { return o.Metrics || o.TraceDir != "" }
 
-// withShardRow appends the sharded-cache study row when enabled.
-func withShardRow(base []string, o Options) []string {
-	if o.CacheShards > 1 {
-		return append(append([]string(nil), base...), VariantBentoShard)
-	}
-	return base
-}
-
-// microVariants reports the rows for the micro experiments: the paper's
-// trio plus the sharded-cache study row when enabled.
-func microVariants(o Options) []string { return withShardRow(XV6Variants, o) }
-
 // streamVariants reports the rows for the streaming scenario: ext4
 // included (the stream is also a macro-style workload), plus the
 // bypass-off study row when single-copy caching is on — the cold
 // stream is the scenario where double-caching flatters the numbers
 // most, so the comparison is published next to the honest cells.
 func streamVariants(o Options) []string {
-	rows := withShardRow(AllVariants, o)
 	if o.dataBypass() {
-		rows = append(append([]string(nil), rows...), VariantBentoNoBypass)
+		return append(append([]string(nil), AllVariants...), VariantBentoNoBypass)
 	}
-	return rows
+	return AllVariants
 }
 
 // Defaults returns the options used for EXPERIMENTS.md.
@@ -280,11 +251,11 @@ func Quick() Options {
 
 // NewTarget mkfs's a fresh device and mounts the named variant on it.
 // Every in-kernel variant gets the background I/O subsystem
-// (internal/iodaemon: read-ahead + write-back flusher) unless
-// o.NoIODaemon, and single-copy data caching (file contents bypass the
-// buffer cache) unless o.NoDataBypass; the FUSE variant never gets
-// either — a userspace file system sits in front of none of these
-// mechanisms, which is the asymmetry the paper measures.
+// (internal/iodaemon: read-ahead + write-back flusher), and single-copy
+// data caching (file contents bypass the buffer cache) unless
+// o.NoDataBypass; the FUSE variant never gets either — a userspace file
+// system sits in front of none of these mechanisms, which is the
+// asymmetry the paper measures.
 func NewTarget(variant string, o Options) (filebench.Target, error) {
 	model := o.effectiveModel()
 	k := kernel.New(model)
@@ -314,21 +285,16 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 	task := k.NewTask("mount")
 
 	kernelMount := func(m *kernel.Mount) filebench.Target {
-		if !o.NoIODaemon {
-			m.EnableIODaemon(iodaemon.Config{})
-		}
+		m.EnableIODaemon(iodaemon.Config{})
 		return filebench.Target{K: k, M: m}
 	}
 
 	switch variant {
-	case VariantBento, VariantBentoShard, VariantBentoNoBypass:
+	case VariantBento, VariantBentoNoBypass:
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
 			return filebench.Target{}, err
 		}
 		cfg := bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: o.dataBypass()}
-		if variant == VariantBentoShard {
-			cfg.CacheShards = o.CacheShards
-		}
 		if variant == VariantBentoNoBypass {
 			cfg.DataBypass = false
 		}

@@ -127,7 +127,8 @@ func nfRun(o Options, c netfaultCond, v string,
 // run (upgradePlan's Ops-per-virtual-second encoding): lossy conditions
 // publish net_retries per workload, and the outage condition publishes
 // varmail's net_degraded — the serves (cached reads, staged writes)
-// the store completed while the circuit breaker was open.
+// the store completed while the circuit breaker was open. A higher
+// count is not better, so the companion specs are BetterExact.
 func netfaultsPlan(o Options) *plan {
 	fileSize := int64(o.StreamMB) << 20
 	if fileSize <= 0 {
@@ -208,7 +209,7 @@ func netfaultsPlan(o Options) *plan {
 						}
 						return derived(key, out.ctr["net_retries"]), nil
 					}
-					specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v, Run: cell})
+					specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v, Better: BetterExact, Run: cell})
 					extras[v] = append(extras[v], cell)
 				}
 			}
@@ -224,7 +225,7 @@ func netfaultsPlan(o Options) *plan {
 					}
 					return derived(key, out.ctr["net_degraded"]), nil
 				}
-				specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v, Run: cell})
+				specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v, Better: BetterExact, Run: cell})
 				extras[v] = append(extras[v], cell)
 			}
 		}

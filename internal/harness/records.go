@@ -14,6 +14,12 @@ type Record struct {
 	MBps       float64 `json:"mbps"`
 	Errs       int64   `json:"errs"`
 
+	// Better is the cell's gate direction: empty for a throughput
+	// (higher is better), BetterExact for a deterministic counter
+	// stored as Ops per virtual second, which benchdiff fails on any
+	// change.
+	Better string `json:"better,omitempty"`
+
 	// Metrics is the cell's trace-counter snapshot (under `bentobench
 	// -metrics`): stable snake_case counter names to values — cache
 	// hits/misses, journal commits, FUSE round-trips, and friends.
@@ -30,6 +36,10 @@ type Record struct {
 	// default -json output stays byte-identical across runs.
 	HostNS int64 `json:"host_ns,omitempty"`
 }
+
+// BetterExact marks a record (and the CellSpec producing it) whose value
+// must reproduce exactly: more is not better, it is a change.
+const BetterExact = "exact"
 
 // StripHostNS zeroes the informational host wall-clock on every record,
 // leaving only virtual-time fields — the byte-stable form the

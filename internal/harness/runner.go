@@ -64,6 +64,7 @@ func StartProfiles(cpuPath, memPath string) (func() error, error) {
 type CellSpec struct {
 	Experiment string // figure/table id ("fig2", "stream")
 	Variant    string // row ("Bento", "FUSE", ...)
+	Better     string // Record.Better of the emitted record ("" or BetterExact)
 	Run        func() (filebench.Result, error)
 }
 
@@ -141,18 +142,18 @@ func RunCells(specs []CellSpec, parallel int) ([]CellOut, error) {
 }
 
 // groupByVariant reassembles executed cells into the per-variant slices
-// the render functions and record emitters consume. Spec order is
-// variant-major within each experiment's historical loop structure, so
-// appending in spec order reproduces exactly the ordering the inline
-// nested loops used to build.
-func groupByVariant(specs []CellSpec, outs []CellOut) (map[string][]filebench.Result, map[string][]int64) {
+// the render functions and record emitters consume, plus each result's
+// index into specs and outs. Spec order is variant-major within each
+// experiment's historical loop structure, so appending in spec order
+// reproduces exactly the ordering the inline nested loops used to build.
+func groupByVariant(specs []CellSpec, outs []CellOut) (map[string][]filebench.Result, map[string][]int) {
 	data := make(map[string][]filebench.Result)
-	host := make(map[string][]int64)
+	idx := make(map[string][]int)
 	for i, s := range specs {
 		data[s.Variant] = append(data[s.Variant], outs[i].Result)
-		host[s.Variant] = append(host[s.Variant], outs[i].HostNS)
+		idx[s.Variant] = append(idx[s.Variant], i)
 	}
-	return data, host
+	return data, idx
 }
 
 // ExperimentResult is one experiment's assembled output from RunMatrix.
@@ -204,11 +205,12 @@ func RunMatrix(ids []string, o Options) ([]ExperimentResult, error) {
 			results = append(results, ExperimentResult{ID: e.id, Text: e.static})
 			continue
 		}
-		data, host := groupByVariant(e.p.specs, outs[e.lo:e.hi])
+		cells := outs[e.lo:e.hi]
+		data, idx := groupByVariant(e.p.specs, cells)
 		er := ExperimentResult{ID: e.id, Text: e.p.render(data)}
 		for _, v := range e.p.rows {
-			hs := host[v]
 			for i, r := range data[v] {
+				j := idx[v][i]
 				er.Records = append(er.Records, Record{
 					Experiment: e.id,
 					Variant:    v,
@@ -219,10 +221,11 @@ func RunMatrix(ids []string, o Options) ([]ExperimentResult, error) {
 					OpsPerSec:  r.OpsPerSec(),
 					MBps:       r.MBps(),
 					Errs:       r.Errs,
+					Better:     e.p.specs[j].Better,
 					Metrics:    r.Metrics,
-					HostNS:     hs[i],
+					HostNS:     cells[j].HostNS,
 				})
-				er.CellHostNS += hs[i]
+				er.CellHostNS += cells[j].HostNS
 			}
 		}
 		results = append(results, er)

@@ -60,25 +60,17 @@ func (b *BufferHead) LRUNode() *lru.Node { return &b.node }
 // 4K blocks), enough that hot metadata stays resident in every workload.
 const DefaultBufferCacheCap = 4096
 
-// NewBufferCache creates a buffer cache over dev with a single shard:
-// victim selection is exactly global LRU, which keeps virtual-time
-// metrics independent of host-side concurrency.
+// NewBufferCache creates a buffer cache over dev (capacity <= 0 means
+// DefaultBufferCacheCap). Victim selection is exactly global LRU, which
+// keeps virtual-time metrics independent of host-side concurrency.
 func NewBufferCache(dev *blockdev.Device, model *costmodel.Model, capacity int) *BufferCache {
-	return NewBufferCacheSharded(dev, model, capacity, 1)
-}
-
-// NewBufferCacheSharded creates a buffer cache whose index is split over
-// the given number of shards with per-shard locks, so many-threaded
-// workloads stop serializing on one mutex. Each shard evicts its own LRU
-// tail, so victim selection is exact only per shard.
-func NewBufferCacheSharded(dev *blockdev.Device, model *costmodel.Model, capacity, shards int) *BufferCache {
 	if capacity <= 0 {
 		capacity = DefaultBufferCacheCap
 	}
 	return &BufferCache{
 		dev:   dev,
 		model: model,
-		cache: lru.New[*BufferHead](capacity, shards),
+		cache: lru.New[*BufferHead](capacity),
 	}
 }
 

@@ -240,7 +240,7 @@ func TestBufferCacheConcurrentMissFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := New(model)
-	bc := NewBufferCacheSharded(dev, model, 64, 8)
+	bc := NewBufferCache(dev, model, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -215,7 +215,7 @@ func (k *Kernel) NewTask(name string) *Task {
 }
 
 // NewTaskWithClock creates a task sharing an existing clock (used by
-// benchmark workers whose clocks belong to a vclock.Group).
+// benchmark workers whose clocks a vclock.Scheduler admits).
 func (k *Kernel) NewTaskWithClock(name string, clk *vclock.Clock) *Task {
 	return &Task{Name: name, Clk: clk, kern: k, rec: k.rec}
 }

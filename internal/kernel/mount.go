@@ -27,31 +27,6 @@ const DefaultDirtyLimitPages = 2048
 // evicted beyond it).
 const DefaultPageCacheCap = 1 << 18 // 1 GiB of 4K pages
 
-// mountShards is the shard count of the per-mount dcache and vnode
-// tables (a power of two). One mutex per table serialized every path
-// walk and vnode lookup of all 32 threads of the paper's hot cells; the
-// same padded-shard idiom as lru.Cache (internal/lru) spreads them over
-// independent locks. Sharding changes host-lock contention only — no
-// virtual-time cost depends on shard choice, so every published cell is
-// unchanged.
-const mountShards = 16
-
-// vnodeShard is one stripe of the vnode table. The pad rounds the
-// struct to 64 bytes (mutex 8 + map header 8 + 48) so neighboring
-// shards in the array never share a cache line.
-type vnodeShard struct {
-	mu sync.Mutex
-	m  map[fsapi.Ino]*vnode
-	_  [48]byte
-}
-
-// dcacheShard is one stripe of the dentry cache (padded like vnodeShard).
-type dcacheShard struct {
-	mu sync.Mutex
-	m  map[dkey]fsapi.Ino
-	_  [48]byte
-}
-
 // Mount is one mounted file system: the VFS objects (inode/dentry caches),
 // the page cache, and the system-call entry points that benchmarks and
 // examples drive.
@@ -63,9 +38,13 @@ type Mount struct {
 	dev        *blockdev.Device
 	model      *costmodel.Model
 
-	mu     sync.Mutex // guards fs (SwapFS); the tables below shard their own locks
-	vnodes [mountShards]vnodeShard
-	dcache [mountShards]dcacheShard
+	mu sync.Mutex // guards fs (SwapFS); the tables below have their own locks
+
+	vnodeMu sync.Mutex
+	vnodes  map[fsapi.Ino]*vnode
+
+	dcacheMu sync.Mutex
+	dcache   map[dkey]fsapi.Ino
 
 	dirtyPages atomic.Int64
 	dirtyLimit int64
@@ -171,33 +150,11 @@ func newMount(k *Kernel, fstype, mountPoint string, fs FileSystem, dev *blockdev
 		model:      k.model,
 		dirtyLimit: DefaultDirtyLimitPages,
 		pageCap:    DefaultPageCacheCap,
-	}
-	for i := range m.vnodes {
-		m.vnodes[i].m = make(map[fsapi.Ino]*vnode)
-	}
-	for i := range m.dcache {
-		m.dcache[i].m = make(map[dkey]fsapi.Ino)
+		vnodes:     make(map[fsapi.Ino]*vnode),
+		dcache:     make(map[dkey]fsapi.Ino),
 	}
 	m.flushFn = m.bdiFlush
 	return m
-}
-
-// vshard maps an inode to its vnode-table stripe.
-func (m *Mount) vshard(ino fsapi.Ino) *vnodeShard {
-	return &m.vnodes[uint64(ino)&(mountShards-1)]
-}
-
-// dshard maps a dentry key to its dcache stripe: FNV-1a over the name,
-// folded with the directory so same-named entries of different
-// directories spread.
-func (m *Mount) dshard(k dkey) *dcacheShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k.name); i++ {
-		h ^= uint64(k.name[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(k.dir) * 0x9e3779b97f4a7c15
-	return &m.dcache[h&(mountShards-1)]
 }
 
 // FS exposes the mounted file system (used by tools like fsck and by the
@@ -280,12 +237,9 @@ type BlockCacheDropper interface {
 // the deterministic-replay contract is simpler to audit when no path
 // ever walks a Go map in iteration order.
 func (m *Mount) DropCaches() {
-	for i := range m.dcache {
-		s := &m.dcache[i]
-		s.mu.Lock()
-		s.m = make(map[dkey]fsapi.Ino)
-		s.mu.Unlock()
-	}
+	m.dcacheMu.Lock()
+	m.dcache = make(map[dkey]fsapi.Ino)
+	m.dcacheMu.Unlock()
 	_ = m.forEachVnodeByIno(func(vn *vnode) error {
 		vn.mu.Lock()
 		dropped := vn.pc.DropCleanFunc(putPage)
@@ -310,30 +264,28 @@ func (m *Mount) DropCaches() {
 
 // vnodePeek returns the resident in-core inode for ino, if any.
 func (m *Mount) vnodePeek(ino fsapi.Ino) (*vnode, bool) {
-	s := m.vshard(ino)
-	s.mu.Lock()
-	vn, ok := s.m[ino]
-	s.mu.Unlock()
+	m.vnodeMu.Lock()
+	vn, ok := m.vnodes[ino]
+	m.vnodeMu.Unlock()
 	return vn, ok
 }
 
 // vnodeFor returns (creating if needed) the in-core inode for ino.
 func (m *Mount) vnodeFor(t *Task, ino fsapi.Ino) (*vnode, error) {
-	s := m.vshard(ino)
-	s.mu.Lock()
-	if vn, ok := s.m[ino]; ok {
-		s.mu.Unlock()
+	m.vnodeMu.Lock()
+	if vn, ok := m.vnodes[ino]; ok {
+		m.vnodeMu.Unlock()
 		return vn, nil
 	}
-	s.mu.Unlock()
+	m.vnodeMu.Unlock()
 
 	st, err := m.fs.GetAttr(t, ino)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vn, ok := s.m[ino]; ok { // lost the race; keep the winner
+	m.vnodeMu.Lock()
+	defer m.vnodeMu.Unlock()
+	if vn, ok := m.vnodes[ino]; ok { // lost the race; keep the winner
 		return vn, nil
 	}
 	vn := &vnode{
@@ -342,17 +294,16 @@ func (m *Mount) vnodeFor(t *Task, ino fsapi.Ino) (*vnode, error) {
 		ftype: st.Type,
 		size:  st.Size,
 	}
-	s.m[ino] = vn
+	m.vnodes[ino] = vn
 	return vn, nil
 }
 
 // vnodeFromStat installs a vnode using attributes we already hold (create
 // paths), avoiding a redundant GetAttr.
 func (m *Mount) vnodeFromStat(st fsapi.Stat) *vnode {
-	s := m.vshard(st.Ino)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vn, ok := s.m[st.Ino]; ok {
+	m.vnodeMu.Lock()
+	defer m.vnodeMu.Unlock()
+	if vn, ok := m.vnodes[st.Ino]; ok {
 		return vn
 	}
 	vn := &vnode{
@@ -361,7 +312,7 @@ func (m *Mount) vnodeFromStat(st fsapi.Stat) *vnode {
 		ftype: st.Type,
 		size:  st.Size,
 	}
-	s.m[st.Ino] = vn
+	m.vnodes[st.Ino] = vn
 	return vn
 }
 
@@ -375,35 +326,31 @@ func (m *Mount) dropVnode(vn *vnode) {
 	vn.mu.Unlock()
 	m.dirtyPages.Add(-nDirty)
 	m.totalPages.Add(-nPages)
-	s := m.vshard(vn.ino)
-	s.mu.Lock()
-	delete(s.m, vn.ino)
-	s.mu.Unlock()
+	m.vnodeMu.Lock()
+	delete(m.vnodes, vn.ino)
+	m.vnodeMu.Unlock()
 }
 
 // --- dentry cache ---
 
 func (m *Mount) dcacheGet(t *Task, dir fsapi.Ino, name string) (fsapi.Ino, bool) {
 	t.Charge(m.model.PageCacheLookup)
-	s := m.dshard(dkey{dir, name})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ino, ok := s.m[dkey{dir, name}]
+	m.dcacheMu.Lock()
+	ino, ok := m.dcache[dkey{dir, name}]
+	m.dcacheMu.Unlock()
 	return ino, ok
 }
 
 func (m *Mount) dcachePut(dir fsapi.Ino, name string, ino fsapi.Ino) {
-	s := m.dshard(dkey{dir, name})
-	s.mu.Lock()
-	s.m[dkey{dir, name}] = ino
-	s.mu.Unlock()
+	m.dcacheMu.Lock()
+	m.dcache[dkey{dir, name}] = ino
+	m.dcacheMu.Unlock()
 }
 
 func (m *Mount) dcacheDrop(dir fsapi.Ino, name string) {
-	s := m.dshard(dkey{dir, name})
-	s.mu.Lock()
-	delete(s.m, dkey{dir, name})
-	s.mu.Unlock()
+	m.dcacheMu.Lock()
+	delete(m.dcache, dkey{dir, name})
+	m.dcacheMu.Unlock()
 }
 
 // --- path resolution ---
@@ -651,14 +598,11 @@ func (m *Mount) forEachVnodeByIno(fn func(*vnode) error) error {
 		v = new([]*vnode)
 	}
 	vns := (*v)[:0]
-	for i := range m.vnodes {
-		s := &m.vnodes[i]
-		s.mu.Lock()
-		for _, vn := range s.m {
-			vns = append(vns, vn)
-		}
-		s.mu.Unlock()
+	m.vnodeMu.Lock()
+	for _, vn := range m.vnodes {
+		vns = append(vns, vn)
 	}
+	m.vnodeMu.Unlock()
 	slices.SortFunc(vns, func(a, b *vnode) int { return cmp.Compare(a.ino, b.ino) })
 	var err error
 	for _, vn := range vns {

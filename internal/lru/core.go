@@ -5,7 +5,7 @@ import "slices"
 // Core is the unsynchronized cache engine: key→entry map, recency list,
 // and explicit dirty set. The zero value is ready to use. Callers that
 // already hold their own lock (the vnode page cache runs under the vnode
-// mutex) embed a Core directly; Cache wraps it with per-shard locking.
+// mutex) embed a Core directly; Cache wraps it with a mutex.
 type Core[E Entry] struct {
 	entries map[int64]E
 	rec     List

@@ -18,14 +18,11 @@
 //     page cache runs under the vnode lock) embed a Core directly and
 //     pay no extra locking.
 //
-//   - Cache wraps Core with capacity enforcement, hit/miss/eviction
-//     statistics, and optional sharding by key with per-shard locks, so
-//     32-thread workloads stop serializing on a single cache mutex. With
-//     one shard (the default for the two buffer caches) victim selection
-//     is exactly global LRU — least recently used among clean, unpinned
-//     entries — which keeps virtual-time metrics byte-identical to the
-//     historical full-scan implementation. Sharding trades that global
-//     exactness for parallelism: each shard evicts its own LRU tail.
+//   - Cache wraps Core with one mutex, capacity enforcement, and
+//     hit/miss/eviction statistics. Victim selection is exactly global
+//     LRU — least recently used among clean, unpinned entries — which
+//     keeps virtual-time metrics byte-identical to the historical
+//     full-scan implementation.
 //
 // Eviction walks the list from the LRU tail, skipping pinned (refs > 0)
 // and dirty entries; the first clean unpinned entry is the exact LRU
@@ -45,7 +42,7 @@ import "sync/atomic"
 // refs and dirty are atomics so hot-path queries (Refs, Dirty) need no
 // cache lock; mutations that must stay consistent with cache structures
 // (dirty-set membership, pin-versus-evict decisions) happen under the
-// owning shard's lock.
+// owning cache's lock.
 type Node struct {
 	prev, next *Node
 	key        int64

@@ -186,7 +186,7 @@ func TestCoreDropClean(t *testing.T) {
 }
 
 func TestCacheCapacityAndStats(t *testing.T) {
-	c := New[*ent](2, 1)
+	c := New[*ent](2)
 	mk := func(v int) func() *ent { return func() *ent { return &ent{val: v} } }
 	for i := 0; i < 3; i++ {
 		if _, hit := c.GetOrInsert(int64(i), mk(i)); hit {
@@ -207,7 +207,7 @@ func TestCacheCapacityAndStats(t *testing.T) {
 }
 
 func TestCacheReleaseUnderflow(t *testing.T) {
-	c := New[*ent](4, 1)
+	c := New[*ent](4)
 	e, _ := c.GetOrInsert(1, func() *ent { return &ent{} })
 	if !c.Release(e) {
 		t.Fatal("first release failed")
@@ -218,7 +218,7 @@ func TestCacheReleaseUnderflow(t *testing.T) {
 }
 
 func TestCacheResetChecks(t *testing.T) {
-	c := New[*ent](4, 2)
+	c := New[*ent](4)
 	e, _ := c.GetOrInsert(1, func() *ent { return &ent{} })
 	errBusy := fmt.Errorf("busy")
 	err := c.Reset(func(e *ent) error {
@@ -239,8 +239,8 @@ func TestCacheResetChecks(t *testing.T) {
 	}
 }
 
-func TestCacheDirtyEntriesSortedAcrossShards(t *testing.T) {
-	c := New[*ent](64, 4)
+func TestCacheDirtyEntriesSorted(t *testing.T) {
+	c := New[*ent](64)
 	for i := 0; i < 16; i++ {
 		e, _ := c.GetOrInsert(int64(i), func() *ent { return &ent{val: i} })
 		c.MarkDirty(e)
@@ -257,8 +257,8 @@ func TestCacheDirtyEntriesSortedAcrossShards(t *testing.T) {
 	}
 }
 
-func TestCacheShardedConcurrent(t *testing.T) {
-	c := New[*ent](128, 8)
+func TestCacheConcurrent(t *testing.T) {
+	c := New[*ent](128)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -294,7 +294,7 @@ func TestCacheShardedConcurrent(t *testing.T) {
 		e, _ := c.GetOrInsert(int64(1000+i), func() *ent { return &ent{} })
 		c.Release(e)
 	}
-	if got := c.Len(); got > 128+8 {
-		t.Fatalf("len = %d, want ≤ capacity+slack after churn", got)
+	if got := c.Len(); got > 128 {
+		t.Fatalf("len = %d, want ≤ capacity after churn", got)
 	}
 }

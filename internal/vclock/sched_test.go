@@ -276,45 +276,6 @@ func TestSchedulerRegisterAfterStartPanics(t *testing.T) {
 	s.Register(NewClock())
 }
 
-// TestGroupSchedulesDeterministically exercises the Group facade the
-// benchmark harness uses: Begin/Pace/Done with clocks, shared resource,
-// shuffled goroutine launch — identical Elapsed every run.
-func TestGroupSchedulesDeterministically(t *testing.T) {
-	run := func(shuffleSeed int64) time.Duration {
-		g := NewGroup(time.Millisecond)
-		const n = 5
-		clks := make([]*Clock, n)
-		for i := range clks {
-			clks[i] = g.NewWorker()
-		}
-		res := NewResource("dev", 2)
-		idx := []int{0, 1, 2, 3, 4}
-		rand.New(rand.NewSource(shuffleSeed)).Shuffle(n, func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		var wg sync.WaitGroup
-		for _, i := range idx {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c := clks[i]
-				g.Begin(c)
-				defer g.Done(c)
-				for j := 0; j < 20; j++ {
-					g.Pace(c)
-					c.AdvanceTo(res.Acquire(c.NowNS(), int64(50+i)))
-				}
-			}(i)
-		}
-		wg.Wait()
-		return g.Elapsed()
-	}
-	want := run(0)
-	for seed := int64(1); seed < 5; seed++ {
-		if got := run(seed); got != want {
-			t.Fatalf("seed %d: Elapsed = %v, want %v", seed, got, want)
-		}
-	}
-}
-
 // TestSchedulerRetireWhileParked: a supervisor (here, the running
 // worker) retiring a parked peer must make that peer's Yield return
 // false so it stops instead of running outside the one-runner

@@ -264,82 +264,3 @@ func (r *Resource) Reset() {
 	}
 	r.ops, r.busyNS, r.maxBacklog = 0, 0, 0
 }
-
-// Group tracks a set of worker clocks belonging to one benchmark run; the
-// run's elapsed virtual time is the maximum over its workers.
-//
-// Group also schedules its workers, through a deterministic Scheduler
-// (see sched.go): at most one worker runs at a time, and at every
-// scheduling point the worker with the minimal (virtual time,
-// registration id) pending event is admitted. Earlier revisions let
-// workers free-run and only *paced* the fastest against a conservative
-// window, which bounded — but did not remove — the host-order dependence
-// of shared Resource bookings; multi-thread cells were reproducible only
-// in distribution. Under the scheduler the interleaving itself is a pure
-// function of virtual time, so every cell replays bit-for-bit.
-type Group struct {
-	mu    sync.Mutex
-	sched *Scheduler
-	byClk map[*Clock]*Worker // the group's roster, keyed for the Clock-based facades
-	start int64
-}
-
-// NewGroup creates a group whose elapsed time is measured from start.
-func NewGroup(start time.Duration) *Group {
-	return &Group{sched: NewScheduler(), byClk: make(map[*Clock]*Worker), start: int64(start)}
-}
-
-// NewWorker creates and registers a worker clock starting at the group's
-// start time. All workers must be registered before any calls Begin.
-func (g *Group) NewWorker() *Clock {
-	c := NewClockAt(time.Duration(g.start))
-	w := g.sched.Register(c)
-	g.mu.Lock()
-	g.byClk[c] = w
-	g.mu.Unlock()
-	return c
-}
-
-// Worker resolves the scheduler handle for a registered clock. Hot
-// paths (a benchmark worker's per-operation pace) should resolve the
-// handle once and call its Begin/Yield/Done directly rather than going
-// through the clock-keyed facades below on every operation.
-func (g *Group) Worker(c *Clock) *Worker {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	w, ok := g.byClk[c]
-	if !ok {
-		panic("vclock: clock does not belong to this group")
-	}
-	return w
-}
-
-// Begin parks the worker until the scheduler admits it for its first
-// slice. Call it before the worker touches any shared simulation state;
-// it must be paired with Done, or the group stalls. It reports whether
-// the worker was admitted — false means it was retired while parked and
-// must not run.
-func (g *Group) Begin(c *Clock) bool { return g.Worker(c).Begin() }
-
-// Pace is the worker's scheduling point between operations (never while
-// holding file-system locks): it parks the worker and blocks until every
-// other worker with an earlier (virtual time, id) event has run. A false
-// return means the worker was retired while parked and must stop.
-func (g *Group) Pace(c *Clock) bool { return g.Worker(c).Yield() }
-
-// Done retires a finished worker so admission no longer waits for it.
-func (g *Group) Done(c *Clock) { g.Worker(c).Done() }
-
-// Elapsed reports the wall-clock-equivalent duration of the run so far: the
-// furthest-ahead worker clock minus the start time.
-func (g *Group) Elapsed() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	max := g.start
-	for c := range g.byClk {
-		if n := c.NowNS(); n > max {
-			max = n
-		}
-	}
-	return time.Duration(max - g.start)
-}

@@ -178,29 +178,6 @@ func TestResourceConcurrentAcquire(t *testing.T) {
 	}
 }
 
-func TestGroupElapsedIsMaxWorker(t *testing.T) {
-	g := NewGroup(0)
-	a := g.NewWorker()
-	b := g.NewWorker()
-	a.Advance(3 * time.Millisecond)
-	b.Advance(7 * time.Millisecond)
-	if got := g.Elapsed(); got != 7*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 7ms", got)
-	}
-}
-
-func TestGroupStartOffset(t *testing.T) {
-	g := NewGroup(time.Second)
-	w := g.NewWorker()
-	if w.Now() != time.Second {
-		t.Fatalf("worker starts at %v, want 1s", w.Now())
-	}
-	w.Advance(time.Millisecond)
-	if got := g.Elapsed(); got != time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 1ms", got)
-	}
-}
-
 func BenchmarkResourceAcquire(b *testing.B) {
 	r := NewResource("disk", 8)
 	b.ReportAllocs()

@@ -27,10 +27,6 @@ const (
 type Config struct {
 	// Policy selects commit durability (see SyncPolicy).
 	Policy SyncPolicy
-	// CacheShards splits the metadata buffer cache over this many
-	// shards (<=1: a single exact-LRU shard; see
-	// kernel.NewBufferCacheSharded).
-	CacheShards int
 	// DataBypass routes regular-file contents around the buffer cache:
 	// data blocks move between the device and the pages above via
 	// BReadDirect/BWriteDirect and are neither cached here nor journaled,
@@ -64,7 +60,7 @@ func New(cfg Config) *FS {
 
 // RegisterWith installs the xv6-Bento module into kernel k under name.
 func RegisterWith(k *kernel.Kernel, name string, cfg Config) error {
-	return core.RegisterSharded(k, name, cfg.CacheShards, func() core.FileSystem { return New(cfg) })
+	return core.Register(k, name, func() core.FileSystem { return New(cfg) })
 }
 
 // BentoName implements core.FileSystem.

@@ -34,9 +34,6 @@ type Config struct {
 	// FlushCommits issues device FLUSH commands around log commits
 	// (crash-safe); off by default like the benchmarked configuration.
 	FlushCommits bool
-	// CacheShards splits the buffer cache over this many shards (<=1: a
-	// single exact-LRU shard; see kernel.NewBufferCacheSharded).
-	CacheShards int
 	// DataBypass routes regular-file contents around the buffer cache
 	// and the log: data blocks move directly between the device and the
 	// pages above, so file data is cached once (in the page cache) and
@@ -57,7 +54,7 @@ func (tt Type) Name() string {
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
 	fs := &FS{
 		cfg:    tt.Cfg,
-		bc:     kernel.NewBufferCacheSharded(dev, t.Model(), 0, max(1, tt.Cfg.CacheShards)),
+		bc:     kernel.NewBufferCache(dev, t.Model(), 0),
 		dev:    dev,
 		inodes: make(map[uint32]*inode),
 	}
