@@ -5,7 +5,9 @@
 // host behaviour, the one axis the virtual clock cannot see. The
 // contract (enforced by cmd/allocgate against ALLOC_budget.json in CI):
 // warm-cache-hit reads and stats allocate nothing; writes and
-// creates stay within a small fixed budget.
+// creates stay within a small fixed budget. The Device rows carry the
+// contract down to the storage tier: steady-state writes and flushes on
+// the local backend and on netstore allocate nothing either.
 //
 // Run:
 //
@@ -22,10 +24,14 @@ import (
 	"strconv"
 	"testing"
 
+	"bento/internal/blockdev"
+	"bento/internal/costmodel"
 	"bento/internal/filebench"
 	"bento/internal/fsapi"
 	"bento/internal/harness"
 	"bento/internal/kernel"
+	"bento/internal/netstore"
+	"bento/internal/vclock"
 )
 
 // allocVariants are the rows of the allocation budget. The three
@@ -75,6 +81,78 @@ func BenchmarkAllocs(b *testing.B) {
 			b.Run("write4k", func(b *testing.B) { benchAllocWrite(b, variant) })
 			b.Run("create", func(b *testing.B) { benchAllocCreate(b, variant) })
 		})
+	}
+	b.Run("Device", func(b *testing.B) {
+		b.Run("local-rewrite", benchAllocLocalRewrite)
+		b.Run("netstore-miss-flush", benchAllocNetstoreMissFlush)
+	})
+}
+
+// benchAllocLocalRewrite measures the local backend's write cache at
+// steady state: each op rewrites an already-durable block, and every
+// 64th op is followed by a FLUSH. A rewrite is the block's first write
+// since the last FLUSH, so it copies-on-write into a buffer that a
+// FLUSH recycled.
+func benchAllocLocalRewrite(b *testing.B) {
+	const blocks, every = 1024, 64
+	dev := blockdev.MustNew(blockdev.Config{Name: "allocdev", Blocks: blocks, Model: costmodel.Default()})
+	clk := vclock.NewClock()
+	buf := make([]byte, dev.BlockSize())
+	write := func(i int) {
+		if err := dev.Write(clk, i%blocks, buf); err != nil {
+			b.Fatal(err)
+		}
+		if i%every == every-1 {
+			if err := dev.Flush(clk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Make every block durable, then rewrite one flush interval so the
+	// free list holds an interval's worth of superseded buffers.
+	const warm = blocks + every
+	for i := 0; i < warm; i++ {
+		write(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(warm + i)
+	}
+}
+
+// benchAllocNetstoreMissFlush measures netstore's write-miss and flush
+// cycle: each op writes one block of an object that is durable but not
+// resident, with the cache full of clean objects, then flushes. A
+// cyclic walk over twice the cache capacity misses every time, so each
+// op loads an object into an evicted one and PUTs it in place.
+func benchAllocNetstoreMissFlush(b *testing.B) {
+	const objs = 2 * netstore.DefaultCacheObjects
+	const step = netstore.DefaultObjectBlocks
+	model := costmodel.Default()
+	dev := blockdev.MustNew(blockdev.Config{
+		Name: "allocnet", Blocks: objs * step, Model: model,
+		Backend: netstore.New(netstore.Config{Name: "allocnet", BlockSize: 4096, Blocks: objs * step, Model: model}),
+	})
+	clk := vclock.NewClock()
+	buf := make([]byte, dev.BlockSize())
+	op := func(i int) {
+		if err := dev.Write(clk, (i%objs)*step, buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := dev.Flush(clk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One pass makes every object durable and leaves the cache full of
+	// clean objects.
+	for i := 0; i < objs; i++ {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(objs + i)
 	}
 }
 

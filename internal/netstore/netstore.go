@@ -105,6 +105,14 @@ type Store struct {
 	cache   lru.Core[*object]
 	staged  int // staged-not-durable blocks across all cached objects
 
+	// Buffer reuse. A durable slice is never aliased — put copies into
+	// it, load copies out of it, Crash writes into it — so an object's
+	// PUTs after its first overwrite it in place. spares holds clean
+	// objects evicted from the cache, which the next miss reuses whole.
+	// keys is the scratch slice write-back sorts dirty object ids into.
+	spares []*object
+	keys   []int64
+
 	res *vclock.Resource
 	rec *trace.Recorder
 	// Request spans land on one track per channel so spans on a track
@@ -202,7 +210,11 @@ func (s *Store) put(now, objID int64, o *object, flushing bool) (int64, error) {
 			return done, err
 		}
 	}
-	s.durable[objID] = append(make([]byte, 0, s.objBytes), o.data...)
+	if dst, ok := s.durable[objID]; ok {
+		copy(dst, o.data)
+	} else {
+		s.durable[objID] = append(make([]byte, 0, s.objBytes), o.data...)
+	}
 	return done, nil
 }
 
@@ -216,17 +228,37 @@ func (s *Store) put(now, objID int64, o *object, flushing bool) (int64, error) {
 // fail-fast or retries exhausted — in which case nothing is cached.
 func (s *Store) load(now, objID int64) (*object, int64, error) {
 	done := now
-	o := &object{data: make([]byte, s.objBytes), dirty: make(map[int]struct{})}
-	if durable, ok := s.durable[objID]; ok {
-		copy(o.data, durable)
+	durable, ok := s.durable[objID]
+	if ok {
 		var err error
 		done, err = s.get(now, objID)
 		if err != nil {
 			return nil, done, err
 		}
 	}
+	o := s.spare()
+	if ok {
+		copy(o.data, durable)
+	} else {
+		clear(o.data)
+	}
 	s.insert(now, objID, o)
 	return o, done, nil
+}
+
+// spare returns an object for a cache fill: the most recently evicted
+// clean object when there is one (its contents stale, its dirty set
+// already empty), a fresh one otherwise. The caller overwrites data.
+func (s *Store) spare() *object {
+	n := len(s.spares)
+	if n == 0 {
+		return &object{data: make([]byte, s.objBytes), dirty: make(map[int]struct{})}
+	}
+	o := s.spares[n-1]
+	s.spares[n-1] = nil
+	s.spares = s.spares[:n-1]
+	o.node.ResetForReuse()
+	return o
 }
 
 // insert adds o under objID, making room first. The eviction victim is
@@ -237,10 +269,12 @@ func (s *Store) load(now, objID int64) (*object, int64, error) {
 // data a crash can lose, at the price of PUT traffic before any flush.
 func (s *Store) insert(now, objID int64, o *object) {
 	for s.cache.Len() >= s.cacheCap {
-		if _, ok := s.cache.EvictScan(nil); ok {
+		if vo, ok := s.cache.EvictScan(nil); ok {
+			s.spares = append(s.spares, vo)
 			continue
 		}
-		victim := s.cache.DirtyKeys()[0]
+		s.keys = s.cache.AppendDirtyKeys(s.keys[:0])
+		victim := s.keys[0]
 		vo, _ := s.cache.Peek(victim)
 		if _, err := s.put(now, victim, vo, false); err != nil {
 			// Degraded or retries exhausted: losing staged data is not
@@ -332,7 +366,8 @@ func (s *Store) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 // either completes or surfaces EIO with the un-PUT objects still
 // staged.
 func (s *Store) Flush(now int64) (int64, error) {
-	for _, objID := range s.cache.DirtyKeys() {
+	s.keys = s.cache.AppendDirtyKeys(s.keys[:0])
+	for _, objID := range s.keys {
 		o, _ := s.cache.Peek(objID)
 		if done, err := s.put(now, objID, o, true); err != nil {
 			return done, err

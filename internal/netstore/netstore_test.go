@@ -226,3 +226,35 @@ func TestEvictionWriteBack(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroAllocMissFlush pins the steady state of the write-miss and
+// flush cycle: the miss reuses the clean object the previous insert
+// evicted, the flush PUTs into the object's existing durable buffer,
+// and write-back sorts dirty ids into a scratch slice, so the cycle
+// allocates nothing once every object has been stored once.
+func TestZeroAllocMissFlush(t *testing.T) {
+	const objs, step = 8, 4
+	s := netstore.New(netstore.Config{
+		Name: "net0", BlockSize: 4096, Blocks: objs * step,
+		Model: costmodel.Fast(), ObjectBlocks: step, CacheObjects: objs / 2,
+	})
+	buf := make([]byte, 4096)
+	var now int64
+	i := 0
+	cycle := func() {
+		var err error
+		if now, err = s.SubmitBlock(now, (i%objs)*step, buf); err != nil {
+			t.Fatal(err)
+		}
+		if now, err = s.Flush(now); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < objs {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("write-miss + flush allocates %.1f per cycle, want 0", n)
+	}
+}

@@ -3,7 +3,8 @@
 // model, the netstore object tier, and whatever comes next — must pass
 // the same battery: read-your-writes and zero-fill, flush as a
 // durability barrier, the one-sided crash contract, seeded crash
-// replay, power-cut semantics, and virtual-time determinism. Backend
+// replay, power-cut semantics, virtual-time determinism, and the
+// isolation of recycled buffers from durable state. Backend
 // packages invoke it from their own tests:
 //
 //	func TestConformance(t *testing.T) {
@@ -42,6 +43,8 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("FlushBarrier", func(t *testing.T) { flushBarrier(t, factory) })
 	t.Run("PowerCut", func(t *testing.T) { powerCut(t, factory) })
 	t.Run("TimeDeterminism", func(t *testing.T) { timeDeterminism(t, factory) })
+	t.Run("RecycledBuffer", func(t *testing.T) { recycledBuffer(t, factory) })
+	t.Run("DurableCopyIsolated", func(t *testing.T) { durableCopyIsolated(t, factory) })
 }
 
 func fill(d *blockdev.Device, b byte) []byte {
@@ -284,5 +287,67 @@ func timeDeterminism(t *testing.T, f Factory) {
 	}
 	if s1 != s2 {
 		t.Fatalf("device stats diverged: %+v vs %+v", s1, s2)
+	}
+}
+
+// recycledBuffer: a buffer a backend recycles carries nothing from its
+// last owner into durable state or reads. Block 1 is rewritten after a
+// flush and flushed again, which supersedes its first durable buffer;
+// a sweep of never-written blocks then cycles clean extents through any
+// small cache (each lands in a recycled slot and must read zeros), and
+// block b2's first write lands in a recycled buffer. A keep-nothing
+// crash leaves block 1 at its last flushed value and b2 at zeros; a
+// keep-everything crash keeps b2's write.
+func recycledBuffer(t *testing.T, f Factory) {
+	const b1, b2 = 1, 44
+	for _, keep := range []float64{0, 1} {
+		d := f(64)
+		clk := vclock.NewClock()
+		mustWrite(t, d, clk, b1, 0xA1)
+		if err := d.Flush(clk); err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, d, clk, b1, 0xB1)
+		if err := d.Flush(clk); err != nil {
+			t.Fatal(err)
+		}
+		for blk := b1 + 1; blk < 64; blk++ {
+			if got := mustRead(t, d, clk, blk); !bytes.Equal(got, make([]byte, d.BlockSize())) {
+				t.Fatalf("never-written blk %d reads %x..., want zeros", blk, got[:4])
+			}
+		}
+		mustWrite(t, d, clk, b2, 0xC2)
+		d.Crash(keep, 3)
+		if got := mustRead(t, d, clk, b1); !bytes.Equal(got, fill(d, 0xB1)) {
+			t.Fatalf("keep=%v: blk %d reads %x..., want its last flushed value", keep, b1, got[:4])
+		}
+		want := make([]byte, d.BlockSize())
+		if keep == 1 {
+			want = fill(d, 0xC2)
+		}
+		if got := mustRead(t, d, clk, b2); !bytes.Equal(got, want) {
+			t.Fatalf("keep=%v: blk %d reads %x..., want %x...", keep, b2, got[:4], want[:4])
+		}
+	}
+}
+
+// durableCopyIsolated: writing a block again after a flush never
+// reaches the durable copy that flush made, even when the backend
+// refreshes durable state in place. The working set is one block, so
+// no backend is under cache pressure to harden the last write early
+// (which the one-sided crash contract would allow).
+func durableCopyIsolated(t *testing.T, f Factory) {
+	d := f(64)
+	clk := vclock.NewClock()
+	for _, b := range []byte{0xA1, 0xA2} {
+		mustWrite(t, d, clk, 5, b)
+		if err := d.Flush(clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustWrite(t, d, clk, 5, 0xB1)
+	d.Crash(0, 11)
+	if got := mustRead(t, d, clk, 5); !bytes.Equal(got, fill(d, 0xA2)) {
+		t.Fatalf("blk 5 reads %x... after crash, want the flushed 0xa2", got[:4])
 	}
 }

@@ -83,10 +83,16 @@ func Fsck(clk *vclock.Clock, dev *blockdev.Device) (*FsckReport, error) {
 		r.UsedBlocks++
 	}
 
+	// Each inode block is read once, when the walk enters it. Block 0 is
+	// the boot block, never an inode block, so it marks "none read yet".
 	ibuf := make([]byte, BlockSize)
+	var iblk uint32
 	for inum := uint32(1); inum < sb.NInodes; inum++ {
-		if err := dev.Read(clk, int(sb.InodeBlock(inum)), ibuf); err != nil {
-			return nil, err
+		if b := sb.InodeBlock(inum); b != iblk {
+			if err := dev.Read(clk, int(b), ibuf); err != nil {
+				return nil, err
+			}
+			iblk = b
 		}
 		din := DecodeDinode(ibuf[InodeOffset(inum):])
 		if din.Type == TypeFree {
@@ -222,14 +228,18 @@ func Fsck(clk *vclock.Clock, dev *blockdev.Device) (*FsckReport, error) {
 		}
 	}
 
-	// Pass 3: bitmap agreement.
+	// Pass 3: bitmap agreement, reading each bitmap block once into
+	// ibuf (pass 1 is done with it; block 0 again marks "none read").
+	var bmapBlk uint32
 	for b := uint32(0); b < sb.Size; b++ {
-		bmapBlk, err := readBlockCopy(clk, dev, sb.BitmapBlock(b))
-		if err != nil {
-			return nil, err
+		if bb := sb.BitmapBlock(b); bb != bmapBlk {
+			if err := dev.Read(clk, int(bb), ibuf); err != nil {
+				return nil, err
+			}
+			bmapBlk = bb
 		}
 		bit := b % BitsPerBlock
-		marked := bmapBlk[bit/8]&(1<<(bit%8)) != 0
+		marked := ibuf[bit/8]&(1<<(bit%8)) != 0
 		_, inUse := blockOwner[b]
 		if b < sb.DataStart {
 			if !marked {

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,56 @@ func TestFsckDetectsCorruption(t *testing.T) {
 	}
 	if rep.OK() {
 		t.Fatal("fsck missed corrupted nlink")
+	}
+}
+
+// TestFsckBitmapAgreement flips one bitmap bit per case on a fresh
+// image and checks that fsck reports exactly that disagreement. The
+// device spans two bitmap blocks, so the last case reads a bit the
+// second bitmap block covers.
+func TestFsckBitmapAgreement(t *testing.T) {
+	const blocks = BitsPerBlock + 4096
+	sb, err := Geometry(blocks, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.BitmapBlock(sb.Size-1) == sb.BitmapBlock(0) {
+		t.Fatalf("%d-block device has one bitmap block; the test needs two", blocks)
+	}
+	for _, tc := range []struct {
+		name string
+		blk  uint32
+		want string
+	}{
+		{"free-marked-used", sb.DataStart + 5, fmt.Sprintf("block %d marked used but unreferenced", sb.DataStart+5)},
+		{"used-marked-free", sb.DataStart, fmt.Sprintf("block %d in use by inode %d but marked free", sb.DataStart, RootIno)},
+		{"metadata-unmarked", sb.InodeStart, fmt.Sprintf("metadata block %d not marked in bitmap", sb.InodeStart)},
+		{"second-bitmap-block", BitsPerBlock + 10, fmt.Sprintf("block %d marked used but unreferenced", BitsPerBlock+10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: costmodel.Fast()})
+			clk := vclock.NewClock()
+			if _, err := Mkfs(clk, dev, 256); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, BlockSize)
+			bmap := int(sb.BitmapBlock(tc.blk))
+			if err := dev.Read(clk, bmap, buf); err != nil {
+				t.Fatal(err)
+			}
+			bit := tc.blk % BitsPerBlock
+			buf[bit/8] ^= 1 << (bit % 8)
+			if err := dev.Write(clk, bmap, buf); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Fsck(clk, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Errors) != 1 || rep.Errors[0] != tc.want {
+				t.Fatalf("fsck errors %q, want exactly %q", rep.Errors, tc.want)
+			}
+		})
 	}
 }
 
